@@ -2,17 +2,22 @@
 
 Every generator returns a fresh :class:`~repro.network.graph.Network` whose
 nodes are consecutive integers starting at 0 (except where documented).
+The structured families return the array form
+(:meth:`~repro.network.graph.Network.from_edge_arrays`): their edge lists,
+in the order a node-by-node loop would add them, and their CSR come from a
+few whole-array numpy passes with no per-edge Python work.
 Randomized generators take an explicit ``rng`` (``numpy.random.Generator``)
 or integer seed so that every experiment is replayable.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Union
 
 import numpy as np
 
-from repro.network.graph import Network
+from repro.network.graph import Network, _ArrayNetwork, _csr_matrix
 
 __all__ = [
     "path_graph",
@@ -51,16 +56,15 @@ def path_graph(n: int) -> Network:
     """P_n: nodes 0..n-1 in a line."""
     if n < 1:
         raise ValueError("path_graph requires n >= 1")
-    return Network(nodes=range(n), edges=((i, i + 1) for i in range(n - 1)))
+    src = np.arange(n - 1)
+    return Network.from_edge_arrays(n, src, src + 1)
 
 
 def cycle_graph(n: int) -> Network:
     """C_n: a cycle on n >= 3 nodes."""
     if n < 3:
         raise ValueError("cycle_graph requires n >= 3")
-    g = path_graph(n)
-    g.add_edge(n - 1, 0)
-    return g
+    return circulant_graph(n, (1,))
 
 
 def circulant_graph(n: int, offsets) -> Network:
@@ -76,69 +80,70 @@ def circulant_graph(n: int, offsets) -> Network:
     offs = sorted({int(d) % n for d in offsets} - {0})
     if not offs:
         raise ValueError("circulant_graph needs at least one nonzero offset")
-    g = Network(nodes=range(n))
-    for i in range(n):
-        for d in offs:
-            j = (i + d) % n
-            if i != j and not g.has_edge(i, j):
-                g.add_edge(i, j)
-    return g
+    # CSR rows: i plus each signed offset, already sorted except in the
+    # rows that wrap around
+    signed = sorted({r if 2 * r <= n else r - n for d in offs for r in (d, n - d)})
+    cols = np.arange(n, dtype=np.int32)[:, None] + np.array(signed, dtype=np.int32)
+    wraps = np.flatnonzero((cols[:, 0] < 0) | (cols[:, -1] >= n))
+    cols[wraps] = np.sort(cols[wraps] % n, axis=1)
+    csr = _csr_matrix(np.full(n, len(signed), dtype=np.int32), cols.ravel())
+    return _ArrayNetwork(n, partial(_circulant_edges, n, tuple(offs)), csr)
+
+
+def _circulant_edges(n: int, offs: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (i, i + d) in node-major, offset-minor order, each kept where
+    it first occurs (offsets d and n - d, or d = n/2, reach one edge twice)."""
+    src = np.repeat(np.arange(n), len(offs))
+    dst = src + np.tile(offs, n)
+    dst[dst >= n] -= n
+    key = np.minimum(src, dst) * n + np.maximum(src, dst)
+    first = np.sort(np.unique(key, return_index=True)[1])
+    return src[first], dst[first]
 
 
 def complete_graph(n: int) -> Network:
     """K_n."""
     if n < 1:
         raise ValueError("complete_graph requires n >= 1")
-    return Network(
-        nodes=range(n),
-        edges=((i, j) for i in range(n) for j in range(i + 1, n)),
-    )
+    return Network.from_edge_arrays(n, *np.triu_indices(n, k=1))
 
 
 def star_graph(n_leaves: int) -> Network:
     """A star: hub 0 joined to leaves 1..n_leaves."""
     if n_leaves < 1:
         raise ValueError("star_graph requires at least one leaf")
-    return Network(edges=((0, i) for i in range(1, n_leaves + 1)))
+    return Network.from_edge_arrays(n_leaves + 1, [0] * n_leaves, range(1, n_leaves + 1))
 
 
 def wheel_graph(n_rim: int) -> Network:
     """Hub 0 joined to a rim cycle 1..n_rim."""
     if n_rim < 3:
         raise ValueError("wheel_graph requires a rim of >= 3 nodes")
-    g = star_graph(n_rim)
-    for i in range(1, n_rim):
-        g.add_edge(i, i + 1)
-    g.add_edge(n_rim, 1)
-    return g
+    rim = np.arange(1, n_rim + 1)
+    return Network.from_edge_arrays(n_rim + 1, np.r_[[0] * n_rim, rim], np.r_[rim, rim % n_rim + 1])
 
 
 def grid_graph(rows: int, cols: int) -> Network:
     """rows x cols grid; node (r, c) is the integer r*cols + c."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
-    g = Network(nodes=range(rows * cols))
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                g.add_edge(v, v + 1)
-            if r + 1 < rows:
-                g.add_edge(v, v + cols)
-    return g
+    v = np.arange(rows * cols)
+    # each node's right then down neighbour, where it exists
+    src = np.repeat(v, 2)
+    dst = np.stack((v + 1, v + cols), axis=1).ravel()
+    keep = np.stack((v % cols + 1 < cols, v + cols < rows * cols), axis=1).ravel()
+    return Network.from_edge_arrays(rows * cols, src[keep], dst[keep])
 
 
 def torus_graph(rows: int, cols: int) -> Network:
     """rows x cols torus (grid with wraparound); needs both dims >= 3."""
     if rows < 3 or cols < 3:
         raise ValueError("torus dimensions must be >= 3 to stay simple")
-    g = Network(nodes=range(rows * cols))
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            g.add_edge(v, r * cols + (c + 1) % cols)
-            g.add_edge(v, ((r + 1) % rows) * cols + c)
-    return g
+    n = rows * cols
+    v = np.arange(n)
+    right = v - v % cols + (v + 1) % cols
+    down = (v + cols) % n
+    return Network.from_edge_arrays(n, np.repeat(v, 2), np.stack((right, down), axis=1).ravel())
 
 
 def hypercube_graph(dim: int) -> Network:
@@ -146,13 +151,10 @@ def hypercube_graph(dim: int) -> Network:
     if dim < 1:
         raise ValueError("hypercube dimension must be >= 1")
     n = 1 << dim
-    g = Network(nodes=range(n))
-    for v in range(n):
-        for b in range(dim):
-            u = v ^ (1 << b)
-            if u > v:
-                g.add_edge(v, u)
-    return g
+    src = np.repeat(np.arange(n), dim)
+    dst = src ^ np.tile(1 << np.arange(dim), n)
+    keep = dst > src
+    return Network.from_edge_arrays(n, src[keep], dst[keep])
 
 
 def binary_tree(height: int) -> Network:
@@ -160,12 +162,8 @@ def binary_tree(height: int) -> Network:
     if height < 0:
         raise ValueError("height must be >= 0")
     n = (1 << (height + 1)) - 1
-    g = Network(nodes=range(n))
-    for v in range(n):
-        for child in (2 * v + 1, 2 * v + 2):
-            if child < n:
-                g.add_edge(v, child)
-    return g
+    child = np.arange(1, n)
+    return Network.from_edge_arrays(n, (child - 1) // 2, child)
 
 
 def random_tree(n: int, rng: RngLike = None) -> Network:
@@ -203,15 +201,12 @@ def gnp_random_graph(n: int, p: float, rng: RngLike = None) -> Network:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     gen = _rng(rng)
-    g = Network(nodes=range(n))
     if p == 0.0 or n < 2:
-        return g
+        return Network.from_edge_arrays(n, [], [])
     # vectorized upper-triangle coin flips
     iu, ju = np.triu_indices(n, k=1)
     mask = gen.random(iu.shape[0]) < p
-    for u, v in zip(iu[mask], ju[mask]):
-        g.add_edge(int(u), int(v))
-    return g
+    return Network.from_edge_arrays(n, iu[mask], ju[mask])
 
 
 def gnm_random_graph(n: int, m: int, rng: RngLike = None) -> Network:
@@ -221,12 +216,9 @@ def gnm_random_graph(n: int, m: int, rng: RngLike = None) -> Network:
         raise ValueError(f"m={m} exceeds the maximum {max_m} for n={n}")
     gen = _rng(rng)
     chosen = gen.choice(max_m, size=m, replace=False)
-    g = Network(nodes=range(n))
     # decode linear index into upper-triangle (u, v)
     iu, ju = np.triu_indices(n, k=1)
-    for idx in chosen:
-        g.add_edge(int(iu[idx]), int(ju[idx]))
-    return g
+    return Network.from_edge_arrays(n, iu[chosen], ju[chosen])
 
 
 def random_regular_graph(n: int, d: int, rng: RngLike = None) -> Network:
@@ -287,12 +279,9 @@ def lollipop_graph(clique: int, tail: int) -> Network:
     """K_clique with a path of ``tail`` extra nodes hanging off node 0."""
     if clique < 3 or tail < 1:
         raise ValueError("need clique >= 3 and tail >= 1")
-    g = complete_graph(clique)
-    prev = 0
-    for i in range(tail):
-        g.add_edge(prev, clique + i)
-        prev = clique + i
-    return g
+    iu, ju = np.triu_indices(clique, k=1)
+    chain = np.arange(clique, clique + tail)
+    return Network.from_edge_arrays(clique + tail, np.r_[iu, 0, chain[:-1]], np.r_[ju, chain])
 
 
 def theta_graph(len_a: int, len_b: int, len_c: int) -> Network:
@@ -322,23 +311,16 @@ def caterpillar_graph(spine: int, legs_per_node: int) -> Network:
     """A path of ``spine`` nodes, each with ``legs_per_node`` pendant leaves."""
     if spine < 1 or legs_per_node < 0:
         raise ValueError("need spine >= 1 and legs_per_node >= 0")
-    g = path_graph(spine)
-    nxt = spine
-    for v in range(spine):
-        for _ in range(legs_per_node):
-            g.add_edge(v, nxt)
-            nxt += 1
-    return g
+    n = spine * (1 + legs_per_node)
+    legs = np.repeat(np.arange(spine), legs_per_node)
+    return Network.from_edge_arrays(n, np.r_[0:spine - 1, legs], np.r_[1:spine, spine:n])
 
 
 def complete_bipartite_graph(a: int, b: int) -> Network:
     """K_{a,b}: parts 0..a-1 and a..a+b-1."""
     if a < 1 or b < 1:
         raise ValueError("both parts must be nonempty")
-    return Network(
-        nodes=range(a + b),
-        edges=((i, a + j) for i in range(a) for j in range(b)),
-    )
+    return Network.from_edge_arrays(a + b, np.repeat(np.arange(a), b), a + np.tile(np.arange(b), a))
 
 
 def petersen_graph() -> Network:

@@ -1,13 +1,22 @@
 """Simple undirected graphs with fault (deletion) and churn support.
 
 The :class:`Network` class is the substrate for every simulation in this
-package.  It is deliberately small and dependency-free: adjacency sets over
-hashable node identifiers, with O(1) amortised edge insertion/removal and
-O(deg) node removal.  Deletions model the paper's *decreasing benign faults*
-(Section 1); the churn layer (:mod:`repro.runtime.churn`) additionally
-re-adds nodes and edges mid-run, using the batch :meth:`Network.add_nodes`
-/ :meth:`Network.add_edges` constructors, which amortise cache
-invalidation over the whole batch.
+package.  It has two backing forms.  ``Network(nodes, edges)`` holds
+adjacency sets over hashable node identifiers, with O(1) amortised edge
+insertion/removal and O(deg) node removal.  Deletions model the paper's
+*decreasing benign faults* (Section 1); the churn layer
+(:mod:`repro.runtime.churn`) additionally re-adds nodes and edges mid-run,
+using the batch :meth:`Network.add_nodes` / :meth:`Network.add_edges`
+constructors, which amortise cache invalidation over the whole batch.
+
+:meth:`Network.from_edge_arrays` (used by the regular generators) holds
+arrays instead: nodes ``0..n-1``, the sorted CSR and the edge list in
+creation order.  An FSSGA node reads only the multiset of its neighbours'
+states, so the array engines need only the CSR: node-only queries and
+:meth:`Network.to_csr` never build the sets.  The first call that needs
+them builds them by replaying the edge list in creation order — so every
+neighbour set iterates as if the edges had been added one by one — and
+the network continues as the adjacency-set form.
 
 For vectorized engines, :meth:`Network.to_csr` exports a
 ``scipy.sparse.csr_matrix`` adjacency plus a stable node ordering.
@@ -72,6 +81,8 @@ class Network:
         #: orbit partitions actually computed (cache misses), mirroring
         #: :attr:`csr_rebuilds` for the symmetry layer
         self.orbit_rebuilds = 0
+        #: adjacency sets built from the array form (0 or 1)
+        self.adjacency_builds = 0
         if nodes is not None:
             for v in nodes:
                 self.add_node(v)
@@ -175,7 +186,7 @@ class Network:
     @property
     def num_nodes(self) -> int:
         """``n = |V|``."""
-        return len(self._adj)
+        return len(self)
 
     @property
     def num_edges(self) -> int:
@@ -193,7 +204,7 @@ class Network:
 
     def nodes(self) -> list[Node]:
         """All node identifiers, in insertion order."""
-        return list(self._adj)
+        return list(self)
 
     def edges(self) -> list[Edge]:
         """Each undirected edge exactly once, canonically oriented.
@@ -350,14 +361,10 @@ class Network:
         missing = keep - set(self._adj)
         if missing:
             raise KeyError(f"nodes not in network: {sorted(map(repr, missing))}")
-        g = Network()
-        for v in self._adj:
-            if v in keep:
-                g.add_node(v)
-        for u, v in self.edges():
-            if u in keep and v in keep:
-                g.add_edge(u, v)
-        return g
+        return Network(
+            (v for v in self._adj if v in keep),
+            ((u, v) for u, v in self.edges() if u in keep and v in keep),
+        )
 
     def is_subgraph_of(self, other: "Network") -> bool:
         """True iff every node and edge of ``self`` exists in ``other``."""
@@ -371,7 +378,7 @@ class Network:
     # ------------------------------------------------------------------
     def node_index(self) -> dict[Node, int]:
         """A stable node → row-index map (insertion order)."""
-        return {v: i for i, v in enumerate(self._adj)}
+        return {v: i for i, v in enumerate(self)}
 
     def to_csr(self) -> tuple[sparse.csr_matrix, list[Node]]:
         """Adjacency matrix in CSR form plus the node ordering used.
@@ -390,23 +397,41 @@ class Network:
             return self._csr_cache
         order = self.nodes()
         index = {v: i for i, v in enumerate(order)}
-        n = len(order)
-        # build the CSR arrays directly from the adjacency sets (each row's
-        # entries are distinct by construction, so no COO deduplication pass)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        cols = np.empty(2 * self._num_edges, dtype=np.int64)
-        k = 0
-        for i, v in enumerate(order):
-            for u in self._adj[v]:
-                cols[k] = index[u]
-                k += 1
-            indptr[i + 1] = k
-        data = np.ones(k, dtype=np.int64)
-        mat = sparse.csr_matrix((data, cols[:k], indptr), shape=(n, n))
-        mat.sort_indices()
+        # each row's entries are distinct by construction, so no COO
+        # deduplication pass; _csr_matrix sorts within rows
+        sets = self._adj.values()
+        degree = np.fromiter(map(len, sets), dtype=np.int64, count=len(order))
+        cols = np.fromiter((index[u] for nbrs in sets for u in nbrs),
+                           dtype=np.int64, count=2 * self._num_edges)
         self.csr_rebuilds += 1
-        self._csr_cache = (mat, order)
+        self._csr_cache = (_csr_matrix(degree, cols), order)
         return self._csr_cache
+
+    @classmethod
+    def from_edge_arrays(cls, n: int, src, dst) -> "Network":
+        """The array form on nodes ``0..n-1`` with edges ``(src[k], dst[k])``.
+
+        The edges must be distinct, loop-free and given in the order they
+        would be added one by one (that order fixes the neighbour-set
+        iteration order if the sets are ever built).  The CSR is exported
+        here, so it counts as built at construction (``csr_rebuilds`` is
+        1).
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        if src.shape != dst.shape:
+            raise ValueError("src and dst must have equal length")
+        if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+            raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
+        if (src == dst).any():
+            raise ValueError("self-loops are not allowed in a simple network")
+        # row-major keys of both orientations; sorted, they are the CSR
+        key = np.concatenate((src * n + dst, dst * n + src))
+        key.sort(kind="stable")
+        if (key[1:] == key[:-1]).any():
+            raise ValueError("parallel edges are not allowed in a simple network")
+        degree = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
+        return _ArrayNetwork(n, (src, dst), _csr_matrix(degree, key % n))
 
     def to_networkx(self):
         """Export to a :class:`networkx.Graph` (for cross-validation only)."""
@@ -425,3 +450,74 @@ class Network:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Network(n={self.num_nodes}, m={self.num_edges})"
+
+
+def _csr_matrix(degree: np.ndarray, indices: np.ndarray) -> sparse.csr_matrix:
+    """The 0/1 ``int64`` adjacency matrix with these row degrees and
+    row-grouped column indices (sorted within rows here)."""
+    n = degree.shape[0]
+    indptr = np.zeros(n + 1, dtype=indices.dtype)
+    np.cumsum(degree, out=indptr[1:])
+    data = np.ones(indices.shape[0], dtype=np.int64)
+    mat = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    mat.sort_indices()
+    return mat
+
+
+class _ArrayNetwork(Network):
+    """The array form (see the module docstring).  Every method that needs
+    neighbour sets reads ``self._adj``, which does not exist here, so the
+    read lands in :meth:`__getattr__`; that builds the sets and turns the
+    instance into a plain :class:`Network`, whose methods need no check
+    for this form.
+
+    Trusted inputs: the CSR, and the creation-order edge list as ``(src,
+    dst)`` arrays or a picklable function returning them (deferring that
+    work to the first build).
+    """
+
+    def __init__(self, n: int, edges, csr: sparse.csr_matrix) -> None:
+        self._order = list(range(n))
+        self._edges = edges
+        self._num_edges = csr.nnz // 2
+        self._csr_cache = (csr, self._order)
+        self.csr_rebuilds = 1
+        self._symmetry = None
+        self._orbit_cache = None
+        self.orbit_rebuilds = 0
+        self.adjacency_builds = 0
+
+    def __getattr__(self, name: str):
+        if name != "_adj":
+            raise AttributeError(f"'Network' object has no attribute {name!r}")
+        adj: dict[Node, set[Node]] = {v: set() for v in self._order}
+        src, dst = self._edges() if callable(self._edges) else self._edges
+        for u, v in zip(src.tolist(), dst.tolist()):
+            adj[u].add(v)
+            adj[v].add(u)
+        del self._order, self._edges
+        self._adj = adj
+        self.adjacency_builds += 1
+        self.__class__ = Network
+        return adj
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __contains__(self, v: Node) -> bool:
+        # the nodes are 0..n-1 (``v in range`` would scan for non-ints)
+        try:
+            return 0 <= v < len(self._order) and v == int(v)
+        except TypeError:
+            return False
+
+    def __iter__(self) -> Iterator[Node]:
+        return iter(self._order)
+
+    def copy(self) -> "Network":
+        """A copy sharing the (read-only) arrays and CSR export."""
+        g = object.__new__(_ArrayNetwork)
+        g.__dict__.update(self.__dict__)
+        g._orbit_cache = None
+        g.csr_rebuilds = g.orbit_rebuilds = 0
+        return g

@@ -15,9 +15,7 @@ single-replica and quotient engines, ``(R, n, s)`` for the batched one —
 so a single implementation serves all engines with no code divergence.
 
 :class:`~repro.runtime.backends.NumpyBackend` is a thin wrapper over
-these functions; the legacy private names (``_AtomTable``,
-``_resolve_compiled``, …) are re-exported by
-:mod:`repro.runtime.vectorized` so historical imports keep working.
+these functions.
 """
 
 from __future__ import annotations

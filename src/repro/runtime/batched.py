@@ -62,7 +62,8 @@ from repro.runtime.churn import ChurnPlan, count_down_events
 from repro.runtime.telemetry import MetricsRegistry
 from repro.runtime.vectorized import (
     _build_churn_mask,
-    _FaultMask,
+    _ChurnMask,
+    _encode_states,
     _lowered_topology,
 )
 
@@ -170,13 +171,10 @@ class BatchedSynchronousEngine:
         self.rngs = self._spawn_streams(rng, self.replicas)
         self.time = 0
 
-        sigma = np.empty((self.replicas, self._n), dtype=np.int64)
-        for r, state in enumerate(inits):
-            for idx, v in enumerate(self._order):
-                # not-yet-arrived union rows hold a placeholder until
-                # their node-up event scatters the boot state in
-                sigma[r, idx] = self._code[state[v]] if v in net else 0
-        self._sigma = sigma
+        self._sigma = np.stack([
+            _encode_states(state, self._order, self._code, net, fault_plan)
+            for state in inits
+        ])
 
         self._active = np.ones(self.replicas, dtype=bool)
         self._rounds = np.zeros(self.replicas, dtype=np.int64)
@@ -186,8 +184,11 @@ class BatchedSynchronousEngine:
         if metrics is not None:
             metrics.set_tag("backend", self.backend.name)
         self.last_faults: list = []
-        self._pos0 = {v: i for i, v in enumerate(self._order)}
-        self._fault_mask: Optional[_FaultMask] = None
+        self._pos0 = (
+            None if fault_plan is None
+            else {v: i for i, v in enumerate(self._order)}
+        )
+        self._fault_mask: Optional[_ChurnMask] = None
         self._live_pos: Optional[np.ndarray] = None  # None ⇒ no fault yet
         self._live_adj = self.adjacency
         self._live_deg = self._degrees
@@ -260,7 +261,7 @@ class BatchedSynchronousEngine:
     def _refresh_topology(self, fired: list) -> None:
         """Fold fired topology events into the incremental live masks."""
         if self._fault_mask is None:
-            self._fault_mask = _FaultMask(self.adjacency, self._pos0)
+            self._fault_mask = _ChurnMask(self.adjacency, self._pos0)
         boots = self._fault_mask.apply(fired)
         for i, q in boots:
             # an arriving node boots in its event's declared state, in

@@ -37,13 +37,11 @@ and arrivals are drawn for in reference re-insertion order, so
 probabilistic executions stay bitwise-identical to the reference
 interpreter, which draws once per live node in insertion order.
 
-The proposition/cascade evaluators formerly defined here moved to
-:mod:`repro.runtime.backends.kernels`; the historical private names
-(``_prop_bool``, ``_AtomTable``, ``_ctree_bool``, ``_resolve_compiled``)
-remain as re-export shims for existing importers.  They stay shape-generic
-over any counts tensor whose *last* axis indexes the alphabet, so the
-batched engine reuses them on ``(R, n, s)`` replica stacks with no code
-divergence between the single-replica and batched paths.
+The proposition/cascade evaluators live in
+:mod:`repro.runtime.backends.kernels`, shape-generic over any counts
+tensor whose *last* axis indexes the alphabet, so the batched engine
+reuses them on ``(R, n, s)`` replica stacks with no code divergence
+between the single-replica and batched paths.
 """
 
 from __future__ import annotations
@@ -56,19 +54,12 @@ from scipy import sparse
 
 from repro.core.automaton import FSSGA, ProbabilisticFSSGA
 from repro.core.ir import CompiledAutomaton, lower
-from repro.core.modthresh import ModThreshProgram
 from repro.network.graph import Network
 from repro.network.state import NetworkState
 from repro.runtime.backends import (
     DEFAULT_MAX_STEPS,
     ArrayBackend,
     resolve_backend,
-)
-from repro.runtime.backends.kernels import (
-    AtomTable,
-    ctree_bool,
-    prop_bool,
-    resolve_compiled,
 )
 from repro.runtime.churn import (
     EDGE_DOWN,
@@ -83,95 +74,10 @@ from repro.runtime.telemetry import MetricsRegistry, coerce_rng
 
 __all__ = ["VectorizedSynchronousEngine"]
 
-# Historical private names, now shared by all engines via the backends
-# package.  Kept as shims so pre-backend importers keep working.
-_AtomTable = AtomTable
-_prop_bool = prop_bool
-_ctree_bool = ctree_bool
-_resolve_compiled = resolve_compiled
-
 
 # ----------------------------------------------------------------------
 # shared machinery (used by both the single-replica and batched engines)
 # ----------------------------------------------------------------------
-def _normalize_programs(
-    programs: Union[Mapping, FSSGA, ProbabilisticFSSGA],
-    randomness: Optional[int],
-) -> tuple[dict, bool, int]:
-    """Unpack automata/mappings into ``(programs, probabilistic, r)``.
-
-    Retained for callers that want the raw program dict; the engines
-    themselves now go through :func:`repro.core.ir.lower`.
-    """
-    if isinstance(programs, FSSGA):
-        if programs.is_rule_based:
-            raise TypeError(
-                "vectorized engine needs explicit ModThreshPrograms; "
-                "declare compile_hints on rule-based automata (or compile "
-                "them with repro.core.compile) first"
-            )
-        programs = programs._programs  # program dict
-    elif isinstance(programs, ProbabilisticFSSGA):
-        if programs.is_rule_based:
-            raise TypeError(
-                "vectorized engine needs explicit ModThreshPrograms; "
-                "declare compile_hints on rule-based automata (or compile "
-                "them with repro.core.compile) first"
-            )
-        randomness = programs.randomness
-        programs = programs._programs
-
-    keys = list(programs.keys())
-    probabilistic = bool(keys) and isinstance(keys[0], tuple) and (
-        randomness is not None
-    )
-    if probabilistic:
-        if randomness is None or randomness < 1:
-            raise ValueError("probabilistic programs need randomness >= 1")
-        randomness = int(randomness)
-    else:
-        randomness = 1
-    return dict(programs), probabilistic, randomness
-
-
-def _build_alphabet(programs: Mapping, probabilistic: bool) -> list:
-    """Own states plus anything the programs can output, sorted by repr."""
-    if probabilistic:
-        own_states = {k[0] for k in programs}
-    else:
-        own_states = set(programs)
-    alphabet = set(own_states)
-    for prog in programs.values():
-        if not isinstance(prog, ModThreshProgram):
-            raise TypeError(f"expected ModThreshProgram, got {type(prog)!r}")
-        alphabet.update(prog.results())
-    return sorted(alphabet, key=repr)
-
-
-def _resolve_program(
-    prog: ModThreshProgram,
-    counts: np.ndarray,
-    mask: np.ndarray,
-    new_sigma: np.ndarray,
-    code: Mapping,
-) -> None:
-    """Resolve one source-form cascade for the masked entries into ``new_sigma``.
-
-    ``np.select`` has exactly the first-match semantics of a Definition 3.6
-    cascade, evaluated for every entry of the leading shape at once.
-    """
-    if not prog.clauses:
-        new_sigma[mask] = code[prog.default]
-        return
-    conds = [prop_bool(p, counts, code) for p, _ in prog.clauses]
-    out = np.select(
-        conds,
-        [np.int64(code[r]) for _, r in prog.clauses],
-        default=np.int64(code[prog.default]),
-    )
-    new_sigma[mask] = out[mask]
-
-
 class _ChurnMask:
     """A churn plan lowered to alive-node / alive-edge masks over the
     construction-time CSR.
@@ -307,10 +213,6 @@ class _ChurnMask:
         return live, sub, deg
 
 
-#: Historical name for the deletion-only mask, kept for importers.
-_FaultMask = _ChurnMask
-
-
 def _lowered_topology(net: Network, plan: Optional[ChurnPlan]) -> tuple:
     """The construction-time CSR for a (possibly churned) run.
 
@@ -322,6 +224,19 @@ def _lowered_topology(net: Network, plan: Optional[ChurnPlan]) -> tuple:
     if plan is not None and plan.has_additions:
         return plan.union_topology(net).to_csr()
     return net.to_csr()
+
+
+def _encode_states(
+    init: NetworkState, order: list, code: Mapping, net: Network,
+    plan: Optional[ChurnPlan],
+) -> np.ndarray:
+    """``init`` as alphabet codes in row order; not-yet-arrived union rows
+    hold a placeholder 0 until their node-up event scatters the boot state in."""
+    if plan is not None and plan.has_additions:
+        codes = (code[init[v]] if v in net else 0 for v in order)
+    else:
+        codes = map(code.__getitem__, map(init.__getitem__, order))
+    return np.fromiter(codes, dtype=np.int64, count=len(order))
 
 
 def _build_churn_mask(
@@ -447,12 +362,7 @@ class VectorizedSynchronousEngine:
         self.rng = coerce_rng(rng)
         self.time = 0
 
-        sigma = np.empty(self._n, dtype=np.int64)
-        for idx, v in enumerate(self._order):
-            # not-yet-arrived union rows hold a placeholder until their
-            # node-up event scatters the boot state in
-            sigma[idx] = self._code[init[v]] if v in net else 0
-        self._sigma = sigma
+        self._sigma = _encode_states(init, self._order, self._code, net, fault_plan)
         self._degrees = np.asarray(self.adjacency.sum(axis=1)).ravel()
 
         self.backend = resolve_backend(backend)
@@ -460,8 +370,11 @@ class VectorizedSynchronousEngine:
         if metrics is not None:
             metrics.set_tag("backend", self.backend.name)
         self.last_faults: list = []
-        # original row of each node, for scattering live-subset results back
-        self._pos0 = {v: i for i, v in enumerate(self._order)}
+        # original row of each node, read only once topology events fire
+        self._pos0 = (
+            None if fault_plan is None
+            else {v: i for i, v in enumerate(self._order)}
+        )
         self._fault_mask: Optional[_ChurnMask] = None
         self._live_pos: Optional[np.ndarray] = None  # None ⇒ no fault yet
         self._live_adj = self.adjacency
@@ -499,7 +412,7 @@ class VectorizedSynchronousEngine:
     def _refresh_topology(self, fired: list) -> None:
         """Fold fired topology events into the incremental live masks."""
         if self._fault_mask is None:
-            self._fault_mask = _FaultMask(self.adjacency, self._pos0)
+            self._fault_mask = _ChurnMask(self.adjacency, self._pos0)
         boots = self._fault_mask.apply(fired)
         for i, q in boots:
             # an arriving node boots in its event's declared state

@@ -43,8 +43,8 @@ The wire contract (see ``docs/model.md``, "Serving"):
     quiet subscribers.  A client disconnect mid-stream unsubscribes
     cleanly — it never cancels the job it was watching.
 
-Error codes: ``400`` undecodable/invalid body, ``404`` unknown path or
-job, ``405`` wrong method, ``413`` oversized body.
+Error codes: ``400`` undecodable/invalid body or ``Content-Length``,
+``404`` unknown path or job, ``405`` wrong method, ``413`` oversized body.
 """
 
 from __future__ import annotations
@@ -119,8 +119,13 @@ def _event_line(event) -> str:
     return json.dumps(obj, default=repr)
 
 
+class _BadRequest(Exception):
+    """``(status, message)`` for a request answered before routing."""
+
+
 async def _read_request(reader: asyncio.StreamReader):
-    """Parse one request head + body; returns ``None`` on EOF/garbage."""
+    """Parse one request head + body; returns ``None`` on EOF/garbage and
+    raises :class:`_BadRequest` for an unusable ``Content-Length``."""
     try:
         request_line = await reader.readline()
     except (ConnectionError, asyncio.LimitOverrunError):
@@ -138,9 +143,11 @@ async def _read_request(reader: asyncio.StreamReader):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", 0) or 0)
-    if length > MAX_BODY:
-        return method, target, headers, None  # signal 413
+    raw = headers.get("content-length") or "0"
+    if not (raw.isascii() and raw.isdigit()):
+        raise _BadRequest(400, f"bad Content-Length {raw!r}")
+    if (length := int(raw)) > MAX_BODY:
+        raise _BadRequest(413, "request body too large")
     body = await reader.readexactly(length) if length else b""
     return method, target, headers, body
 
@@ -271,13 +278,14 @@ async def _handle(
     writer: asyncio.StreamWriter,
 ) -> None:
     try:
-        parsed = await _read_request(reader)
+        try:
+            parsed = await _read_request(reader)
+        except _BadRequest as exc:
+            _error(writer, *exc.args)
+            return
         if parsed is None:
             return
         method, target, headers, body = parsed
-        if body is None:
-            _error(writer, 413, "request body too large")
-            return
         url = urlsplit(target)
         path = url.path.rstrip("/") or "/"
         query = parse_qs(url.query)

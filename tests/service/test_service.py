@@ -495,6 +495,48 @@ class TestHTTP:
         record = json.loads(b1)
         assert record["status"] == "ok"
 
+    @pytest.mark.parametrize(
+        "length,status,reason",
+        [
+            ("abc", 400, "bad Content-Length"),
+            ("-5", 400, "bad Content-Length"),
+            ("1_0", 400, "bad Content-Length"),
+            (str(10**9), 413, "too large"),
+        ],
+    )
+    def test_bad_content_length_is_a_client_error(
+        self, tmp_path, monkeypatch, length, status, reason
+    ):
+        """A malformed or oversized Content-Length gets a 4xx (never a
+        500), and the next connection is served normally."""
+        _thread_backed(monkeypatch)
+
+        async def raw(port, head: bytes) -> bytes:
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(head)
+            await writer.drain()
+            answer = await asyncio.wait_for(reader.read(), 10)
+            writer.close()
+            await writer.wait_closed()
+            return answer
+
+        async def scenario(port):
+            bad = await raw(
+                port,
+                b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n{}",
+            )
+            good = await raw(port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            return bad, good
+
+        bad, good = asyncio.run(
+            _with_server(JobManager(tmp_path / "store"), scenario)
+        )
+        assert bad.startswith(f"HTTP/1.1 {status} ".encode())
+        assert reason in json.loads(bad.split(b"\r\n\r\n", 1)[1])["error"]
+        assert good.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(good.split(b"\r\n\r\n", 1)[1])["ok"] is True
+
     def test_concurrent_http_submissions_share_one_execution(
         self, tmp_path, monkeypatch
     ):
