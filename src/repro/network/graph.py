@@ -76,8 +76,14 @@ class Network:
         #: CSR exports actually built (cache misses) — telemetry reads the
         #: delta across a run to report export-cache effectiveness
         self.csr_rebuilds = 0
+        #: bumped by every topology mutation; the symmetry caches are
+        #: keyed on it
+        self._topology_version = 0
         self._symmetry = None
-        self._orbit_cache = None
+        self._verified = None  # (group, version, row permutations)
+        self._orbit_cache = None  # (group, version, OrbitPartition)
+        #: group verifications actually run (cache misses)
+        self.symmetry_verifications = 0
         #: orbit partitions actually computed (cache misses), mirroring
         #: :attr:`csr_rebuilds` for the symmetry layer
         self.orbit_rebuilds = 0
@@ -97,8 +103,7 @@ class Network:
         """Add an isolated node (no-op if already present)."""
         if v not in self._adj:
             self._adj[v] = set()
-            self._csr_cache = None
-            self._orbit_cache = None
+            self._topology_changed()
 
     def add_edge(self, u: Node, v: Node) -> None:
         """Add the undirected edge ``{u, v}``, creating endpoints as needed."""
@@ -110,8 +115,7 @@ class Network:
             self._adj[u].add(v)
             self._adj[v].add(u)
             self._num_edges += 1
-            self._csr_cache = None
-            self._orbit_cache = None
+            self._topology_changed()
 
     def add_nodes(self, nodes: Iterable[Node]) -> int:
         """Add many nodes at once; returns how many were actually new.
@@ -127,8 +131,7 @@ class Network:
                 self._adj[v] = set()
                 added += 1
         if added:
-            self._csr_cache = None
-            self._orbit_cache = None
+            self._topology_changed()
         return added
 
     def add_edges(self, edges: Iterable[Edge]) -> int:
@@ -153,9 +156,12 @@ class Network:
                 self._num_edges += 1
                 added += 1
         if added:
-            self._csr_cache = None
-            self._orbit_cache = None
+            self._topology_changed()
         return added
+
+    def _topology_changed(self) -> None:
+        self._csr_cache = None
+        self._topology_version += 1
 
     # ------------------------------------------------------------------
     # faults (deletions)
@@ -167,8 +173,7 @@ class Network:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         self._num_edges -= 1
-        self._csr_cache = None
-        self._orbit_cache = None
+        self._topology_changed()
 
     def remove_node(self, v: Node) -> None:
         """Delete node ``v`` and all incident edges (a node fault)."""
@@ -177,8 +182,7 @@ class Network:
         for u in list(self._adj[v]):
             self.remove_edge(u, v)
         del self._adj[v]
-        self._csr_cache = None
-        self._orbit_cache = None
+        self._topology_changed()
 
     # ------------------------------------------------------------------
     # queries
@@ -312,38 +316,83 @@ class Network:
         (:class:`~repro.network.symmetry.SymmetryError` on failure) before
         the declaration sticks.  The declaration is *not* revoked by later
         mutations — consumers such as the quotient engine re-verify at
-        lowering time and report a stale group as their blocker — but the
-        cached orbit partition is invalidated exactly like the CSR cache.
-        Pass ``None`` to clear the declaration.
+        lowering time (:meth:`verify_symmetry`) and report a stale group
+        as their blocker.  Pass ``None`` to clear the declaration.
         """
         if group is not None:
-            group.verify(self)
+            self._verify(group)
         self._symmetry = group
-        self._orbit_cache = None
 
     @property
     def symmetry(self):
         """The declared automorphism group, or ``None``."""
         return self._symmetry
 
-    def orbit_partition(self):
-        """The cached orbit partition under the declared group.
+    def _cached(self, entry, group):
+        """The value of a ``(group, version, value)`` cache entry if it is
+        for ``group`` at the current topology version, else ``None``."""
+        if entry is not None and entry[0] is group and entry[1] == self._topology_version:
+            return entry[2]
+        return None
 
-        Raises :class:`ValueError` when no group is declared.  The result
-        is invalidated by every node/edge mutation (and by re-declaring),
-        mirroring :meth:`to_csr`; :attr:`orbit_rebuilds` counts actual
-        recomputations.
+    def _verify(self, group) -> tuple:
+        perms = self._cached(self._verified, group)
+        if perms is None:
+            self.symmetry_verifications += 1
+            perms = group.verify(self)
+            self._verified = (group, self._topology_version, perms)
+        return perms
+
+    def verify_symmetry(self) -> tuple:
+        """Verify the declared group against the current topology.
+
+        Returns its generators as int64 row permutations over the
+        :meth:`to_csr` node order, or raises
+        :class:`~repro.network.symmetry.SymmetryError` naming the
+        violation when a mutation has made the declaration stale.  A
+        successful check is cached per group and topology version, so
+        :meth:`declare_symmetry`, quotient negotiation and the quotient
+        engine verify once between mutations;
+        :attr:`symmetry_verifications` counts the checks actually run.
+        Raises :class:`ValueError` when no group is declared.
         """
         if self._symmetry is None:
             raise ValueError(
                 "no automorphism group declared; call declare_symmetry() first"
             )
-        if self._orbit_cache is None:
-            from repro.network.symmetry import orbit_partition
+        return self._verify(self._symmetry)
 
-            self._orbit_cache = orbit_partition(self, self._symmetry)
-            self.orbit_rebuilds += 1
-        return self._orbit_cache
+    def orbit_partition(self):
+        """The cached orbit partition under the declared group.
+
+        Raises :class:`ValueError` when no group is declared.  The result
+        is cached per group and topology version, so every node/edge
+        mutation (and re-declaring) recomputes it, mirroring
+        :meth:`to_csr`; :attr:`orbit_rebuilds` counts actual
+        recomputations.  A group verified at this version contributes its
+        permutation arrays; a stale one is read leniently (see
+        :func:`~repro.network.symmetry.orbit_partition`).
+        """
+        group = self._symmetry
+        if group is None:
+            raise ValueError(
+                "no automorphism group declared; call declare_symmetry() first"
+            )
+        part = self._cached(self._orbit_cache, group)
+        if part is not None:
+            return part
+        from repro.network.symmetry import OrbitPartition, orbit_partition
+
+        perms = self._cached(self._verified, group)
+        if perms is None:
+            part = orbit_partition(self, group)
+        else:
+            order = self.to_csr()[1]
+            rows = np.arange(len(order), dtype=np.int64)
+            part = OrbitPartition.from_maps(order, [(rows, p) for p in perms])
+        self._orbit_cache = (group, self._topology_version, part)
+        self.orbit_rebuilds += 1
+        return part
 
     # ------------------------------------------------------------------
     # derivation
@@ -482,8 +531,11 @@ class _ArrayNetwork(Network):
         self._num_edges = csr.nnz // 2
         self._csr_cache = (csr, self._order)
         self.csr_rebuilds = 1
+        self._topology_version = 0
         self._symmetry = None
+        self._verified = None
         self._orbit_cache = None
+        self.symmetry_verifications = 0
         self.orbit_rebuilds = 0
         self.adjacency_builds = 0
 
@@ -515,9 +567,10 @@ class _ArrayNetwork(Network):
         return iter(self._order)
 
     def copy(self) -> "Network":
-        """A copy sharing the (read-only) arrays and CSR export."""
+        """A copy sharing the (read-only) arrays, CSR export and verified
+        symmetry arrays (equal topologies until either side mutates)."""
         g = object.__new__(_ArrayNetwork)
         g.__dict__.update(self.__dict__)
         g._orbit_cache = None
-        g.csr_rebuilds = g.orbit_rebuilds = 0
+        g.csr_rebuilds = g.orbit_rebuilds = g.symmetry_verifications = 0
         return g

@@ -95,7 +95,10 @@ from repro.runtime.backends import (
 )
 from repro.runtime.batched import BatchedSynchronousEngine
 from repro.runtime.churn import ChurnPlan
-from repro.runtime.quotient import QuotientSynchronousEngine
+from repro.runtime.quotient import (
+    QuotientSynchronousEngine,
+    orbit_constancy_violation,
+)
 from repro.runtime.simulator import SynchronousSimulator
 from repro.runtime.telemetry import (
     EventStream,
@@ -323,19 +326,23 @@ def _quotient_blocker(
     fault_plan: Optional[ChurnPlan],
     randomness: Optional[int],
     *,
-    allow_probabilistic: bool,
+    auto: bool,
 ) -> Optional[tuple[str, str]]:
     """Why this run cannot take the quotient path, or ``None`` if it can.
 
     Returns ``(blocker_tag, message)`` naming the *actual* obstruction —
     the same preconditions
-    :class:`~repro.runtime.quotient.QuotientSynchronousEngine` re-checks
-    at construction.  ``allow_probabilistic=False`` additionally blocks
-    probabilistic automata: the quotient's shared per-orbit draws are a
-    different stochastic process from the full-graph engines'
-    one-draw-per-node convention (symmetry can never break), so ``auto``
-    never switches a probabilistic run's semantics silently; opting in via
-    ``engine="quotient"`` is explicit.
+    :class:`~repro.runtime.quotient.QuotientSynchronousEngine` checks at
+    construction (the group check is a cache hit there).  ``auto=True``
+    (negotiating ``engine="auto"``) additionally blocks probabilistic
+    automata: the quotient's shared per-orbit draws are a different
+    stochastic process from the full-graph engines' one-draw-per-node
+    convention (symmetry can never break), so ``auto`` never switches a
+    probabilistic run's semantics silently; opting in via
+    ``engine="quotient"`` is explicit.  Only ``auto`` checks that ``init``
+    is orbit-constant, since it must choose before an engine exists; a
+    pinned quotient run gets that blocker from the engine constructor, so
+    each run encodes and checks ``init`` once.
     """
     lowerable, reason = _negotiate(automaton, randomness)
     if not lowerable:
@@ -368,7 +375,7 @@ def _quotient_blocker(
             "network declares no automorphism group; call "
             "net.declare_symmetry(...) to enable the quotient path",
         )
-    if lower(automaton, randomness).probabilistic and not allow_probabilistic:
+    if auto and lower(automaton, randomness).probabilistic:
         return (
             "probabilistic",
             "shared per-orbit draws change the stochastic process (symmetry "
@@ -376,7 +383,7 @@ def _quotient_blocker(
             "full-graph engine; request engine='quotient' to opt in",
         )
     try:
-        net.symmetry.verify(net)
+        net.verify_symmetry()  # cached per topology version
     except SymmetryError as exc:
         return (
             "stale-group",
@@ -389,16 +396,12 @@ def _quotient_blocker(
             f"quotient runs need a single NetworkState init, got "
             f"{type(init).__name__}",
         )
-    part = net.orbit_partition()
-    for v in net:
-        rep = part.reps[part.orbit_of[v]]
-        if init[v] != init[rep]:
-            return (
-                "init-not-orbit-constant",
-                f"initial state is not orbit-constant: node {v!r} has state "
-                f"{init[v]!r} but its orbit representative {rep!r} has "
-                f"{init[rep]!r}",
-            )
+    if auto:
+        violation = orbit_constancy_violation(
+            net.orbit_partition(), init, lower(automaton, randomness).code
+        )
+        if violation is not None:
+            return ("init-not-orbit-constant", violation)
     return None
 
 
@@ -417,7 +420,7 @@ def _select_engine(
     if engine == "quotient":
         blocked = _quotient_blocker(
             automaton, net, init, replicas, fault_plan, randomness,
-            allow_probabilistic=True,
+            auto=False,
         )
         if blocked is not None:
             tag, msg = blocked
@@ -436,7 +439,7 @@ def _select_engine(
             and net.symmetry is not None
             and _quotient_blocker(
                 automaton, net, init, replicas, fault_plan, randomness,
-                allow_probabilistic=False,
+                auto=True,
             )
             is None
         ):
@@ -641,7 +644,7 @@ def _run_quotient(
     members: Optional[list[list]] = None
     if observers:
         members = [[] for _ in part.reps]
-        for v, j in part.orbit_of.items():
+        for v, j in zip(part.nodes, part.orbit_of_row.tolist()):
             members[j].append(v)
     draws = [0]
     change_counts: list[int] = []

@@ -55,6 +55,7 @@ the quotient depends on.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import repeat
 from typing import Optional, Union
 
 import numpy as np
@@ -64,7 +65,7 @@ from repro.core.automaton import FSSGA, ProbabilisticFSSGA
 from repro.core.ir import CompiledAutomaton, QuotientLoweringError, lower
 from repro.network.graph import Network
 from repro.network.state import NetworkState
-from repro.network.symmetry import SymmetryError
+from repro.network.symmetry import OrbitPartition, SymmetryError
 from repro.runtime.backends import (
     DEFAULT_MAX_STEPS,
     ArrayBackend,
@@ -73,7 +74,11 @@ from repro.runtime.backends import (
 from repro.runtime.churn import ChurnPlan
 from repro.runtime.telemetry import MetricsRegistry, coerce_rng
 
-__all__ = ["QuotientSynchronousEngine", "OrbitBroadcastRng"]
+__all__ = [
+    "QuotientSynchronousEngine",
+    "OrbitBroadcastRng",
+    "orbit_constancy_violation",
+]
 
 
 class QuotientSynchronousEngine:
@@ -129,9 +134,10 @@ class QuotientSynchronousEngine:
                 blocker="no-group",
             )
         try:
-            # mutations do not revoke a declaration — re-verify here so a
-            # stale group is caught at lowering time, not as silent skew
-            group.verify(net)
+            # mutations do not revoke a declaration: this re-verifies after
+            # any mutation (a cache hit otherwise), so a stale group is
+            # caught at lowering time, not as silent skew
+            net.verify_symmetry()
         except SymmetryError as exc:
             raise QuotientLoweringError(
                 f"declared automorphism group is stale for the current "
@@ -152,48 +158,30 @@ class QuotientSynchronousEngine:
         k = part.num_orbits
         self._k = k
 
-        for v in net:
-            rep = part.reps[part.orbit_of[v]]
-            if init[v] != init[rep]:
-                raise QuotientLoweringError(
-                    f"initial state is not orbit-constant: node {v!r} has "
-                    f"state {init[v]!r} but its orbit representative "
-                    f"{rep!r} has {init[rep]!r}",
-                    blocker="init-not-orbit-constant",
-                )
+        violation = orbit_constancy_violation(part, init, self._code)
+        if violation is not None:
+            raise QuotientLoweringError(
+                violation, blocker="init-not-orbit-constant"
+            )
 
         # quotient CSR: Q[i, j] = multiplicity of orbit j among rep i's
-        # neighbours — the representative's true neighbour counts, grouped
-        # by orbit label
-        indptr = np.zeros(k + 1, dtype=np.int64)
-        cols: list[int] = []
-        data: list[int] = []
-        degrees = np.zeros(k, dtype=np.int64)
-        for i, rep in enumerate(part.reps):
-            row: dict[int, int] = {}
-            for u in net.neighbors(rep):
-                j = part.orbit_of[u]
-                row[j] = row.get(j, 0) + 1
-            for j in sorted(row):
-                cols.append(j)
-                data.append(row[j])
-            degrees[i] = net.degree(rep)
-            indptr[i + 1] = len(cols)
+        # neighbours — the representatives' CSR rows with each column
+        # relabelled to its orbit, duplicates summed
+        adjacency = net.to_csr()[0][part.rep_rows]
         self.quotient = sparse.csr_matrix(
             (
-                np.asarray(data, dtype=np.int64),
-                np.asarray(cols, dtype=np.int64),
-                indptr,
+                adjacency.data.astype(np.int64),
+                part.orbit_of_row[adjacency.indices],
+                adjacency.indptr.astype(np.int64),
             ),
             shape=(k, k),
         )
-        self._degrees = degrees
+        self.quotient.sum_duplicates()
+        self._degrees = np.diff(adjacency.indptr).astype(np.int64)
         self._sizes = np.asarray(part.sizes, dtype=np.int64)
-
-        sigma = np.empty(k, dtype=np.int64)
-        for i, rep in enumerate(part.reps):
-            sigma[i] = self._code[init[rep]]
-        self._sigma = sigma
+        self._sigma = np.fromiter(
+            (self._code[init[rep]] for rep in part.reps), dtype=np.int64, count=k
+        )
 
         self.rng = coerce_rng(rng)
         self.backend = resolve_backend(backend)
@@ -271,10 +259,9 @@ class QuotientSynchronousEngine:
         """The **lifted** full-graph state: every node decodes through its
         orbit's representative entry."""
         part = self.partition
-        sig = self._sigma
-        return NetworkState(
-            {v: self.alphabet[sig[part.orbit_of[v]]] for v in self._net}
-        )
+        alphabet = self.alphabet
+        codes = self._sigma[part.orbit_of_row].tolist()
+        return NetworkState(dict(zip(part.nodes, map(alphabet.__getitem__, codes))))
 
     @property
     def representative_state(self) -> NetworkState:
@@ -296,6 +283,31 @@ class QuotientSynchronousEngine:
         for i, q in enumerate(self.alphabet):
             out[q] = int(binc[i])
         return out
+
+
+def orbit_constancy_violation(
+    part: OrbitPartition, init: Mapping, code: Mapping
+) -> Optional[str]:
+    """Why ``init`` is not constant on the orbits of ``part``, or ``None``.
+
+    ``init`` is encoded once into alphabet codes in row order (states
+    outside the alphabet get ``-1``) and compared with its
+    representatives' codes lifted through ``orbit_of_row``; the message
+    names the first offending node in row order.
+    """
+    codes = np.fromiter(
+        map(code.get, map(init.__getitem__, part.nodes), repeat(-1)),
+        dtype=np.int64, count=len(part.nodes),
+    )
+    bad = np.flatnonzero(codes != codes[part.rep_rows][part.orbit_of_row])
+    if bad.size == 0:
+        return None
+    row = int(bad[0])
+    v, rep = part.nodes[row], part.reps[part.orbit_of_row[row]]
+    return (
+        f"initial state is not orbit-constant: node {v!r} has state "
+        f"{init[v]!r} but its orbit representative {rep!r} has {init[rep]!r}"
+    )
 
 
 class OrbitBroadcastRng:
@@ -323,12 +335,9 @@ class OrbitBroadcastRng:
 
     def __init__(self, net: Network, rng=None) -> None:
         part = net.orbit_partition()
-        order = net.nodes()
         self.base = coerce_rng(rng)
-        self._row_orbit = np.asarray(
-            [part.orbit_of[v] for v in order], dtype=np.int64
-        )
-        self._n = len(order)
+        self._row_orbit = part.orbit_of_row
+        self._n = len(part.nodes)
         self._k = part.num_orbits
         self._buf: Optional[np.ndarray] = None
         self._cursor = 0

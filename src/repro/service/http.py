@@ -43,8 +43,11 @@ The wire contract (see ``docs/model.md``, "Serving"):
     quiet subscribers.  A client disconnect mid-stream unsubscribes
     cleanly — it never cancels the job it was watching.
 
-Error codes: ``400`` undecodable/invalid body or ``Content-Length``,
-``404`` unknown path or job, ``405`` wrong method, ``413`` oversized body.
+Error codes: ``400`` undecodable/invalid body or ``Content-Length`` or an
+over-long request line, ``404`` unknown path or job, ``405`` wrong method,
+``413`` oversized body, ``431`` more than :data:`MAX_HEADERS` headers or a
+header line over 64 KiB.  A request head not complete within
+:data:`HEAD_TIMEOUT` seconds is closed without an answer.
 """
 
 from __future__ import annotations
@@ -62,6 +65,12 @@ from repro.service.jobs import JobManager
 __all__ = ["ServiceConfig", "serve"]
 
 MAX_BODY = 4 * 1024 * 1024  # a spec is small; anything bigger is abuse
+#: Seconds a client gets to send the whole request head (request line and
+#: headers); a head still unfinished then is dropped with a clean close.
+HEAD_TIMEOUT = 10.0
+#: Header lines accepted per request; a line longer than the stream
+#: reader's limit (64 KiB) is refused the same way, with a 431.
+MAX_HEADERS = 100
 _STATUS_TEXT = {
     200: "OK",
     202: "Accepted",
@@ -70,6 +79,7 @@ _STATUS_TEXT = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -123,13 +133,13 @@ class _BadRequest(Exception):
     """``(status, message)`` for a request answered before routing."""
 
 
-async def _read_request(reader: asyncio.StreamReader):
-    """Parse one request head + body; returns ``None`` on EOF/garbage and
-    raises :class:`_BadRequest` for an unusable ``Content-Length``."""
+async def _read_head(reader: asyncio.StreamReader):
+    """The request line and headers; ``None`` on EOF/garbage.  An
+    over-long line or too many headers raise :class:`_BadRequest`."""
     try:
         request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
-        return None
+    except ValueError:  # the reader's line limit (LimitOverrunError)
+        raise _BadRequest(400, "request line too long") from None
     if not request_line:
         return None
     try:
@@ -137,12 +147,34 @@ async def _read_request(reader: asyncio.StreamReader):
     except ValueError:
         return None
     headers: dict[str, str] = {}
+    lines = 0
     while True:
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:
+            raise _BadRequest(431, "request header line too long") from None
         if line in (b"\r\n", b"\n", b""):
             break
+        lines += 1  # lines, not names: a repeated name still costs a read
+        if lines > MAX_HEADERS:
+            raise _BadRequest(431, f"more than {MAX_HEADERS} request headers")
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    return method, target, headers
+
+
+async def _read_request(reader: asyncio.StreamReader):
+    """Parse one request head + body; returns ``None`` on EOF/garbage or
+    when the head is not complete within :data:`HEAD_TIMEOUT`, and raises
+    :class:`_BadRequest` for an over-long or oversized head or an
+    unusable ``Content-Length``."""
+    try:
+        head = await asyncio.wait_for(_read_head(reader), HEAD_TIMEOUT)
+    except (ConnectionError, asyncio.TimeoutError):
+        return None
+    if head is None:
+        return None
+    method, target, headers = head
     raw = headers.get("content-length") or "0"
     if not (raw.isascii() and raw.isdigit()):
         raise _BadRequest(400, f"bad Content-Length {raw!r}")

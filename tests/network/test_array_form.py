@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.algorithms import election
 from repro.network import generators as gen
 from repro.network.graph import Network
-from repro.network.symmetry import cyclic_rotation
+from repro.network.symmetry import cyclic_rotation, detect_symmetry
 from repro.runtime import api
 from repro.runtime.churn import ChurnPlan, TopologyEvent
 from repro.runtime.telemetry import MetricsRegistry, network_fingerprint
@@ -363,11 +363,39 @@ def test_node_down_churn_run_matches_oracle(engine):
 
 
 def test_quotient_run_matches_oracle():
+    """A quotient run reads only the CSR: after ``declare_symmetry`` it
+    verifies nothing more, never builds the sets (also at n = 2^16), and
+    its lifted final state equals the run on the loop-built oracle."""
     programs = election.coin_kernel_programs()
-    finals = []
-    for net in (gen.cycle_graph(48), oracle_cycle(48)):
-        net.declare_symmetry(cyclic_rotation(48))
-        result = api.run(programs, net, election.coin_kernel_init(net),
-                         engine="quotient", until=10, randomness=2, rng=2)
-        finals.append(list(result.final_state.items()))
-    assert finals[0] == finals[1]
+    for n in (48, 2**16):
+        lazy = gen.cycle_graph(n)
+        results = []
+        for net in (lazy, oracle_cycle(n)):
+            net.declare_symmetry(cyclic_rotation(n))
+            results.append(api.run(programs, net, election.coin_kernel_init(net),
+                                   engine="quotient", until=24, randomness=2, rng=2))
+            assert net.symmetry_verifications == 1
+            assert net.orbit_rebuilds == 1
+        assert lazy.adjacency_builds == 0
+        assert list(results[0].final_state.items()) == list(results[1].final_state.items())
+        assert results[0].change_counts == results[1].change_counts
+
+
+@pytest.mark.parametrize(
+    "make, oracle",
+    [
+        (lambda: gen.cycle_graph(30), lambda: oracle_cycle(30)),
+        (lambda: gen.torus_graph(5, 7), lambda: oracle_torus(5, 7)),
+        (lambda: gen.complete_graph(9), lambda: oracle_complete(9)),
+        (lambda: gen.grid_graph(4, 6), lambda: oracle_grid(4, 6)),
+    ],
+    ids=["cycle", "torus", "complete", "grid"],
+)
+def test_detect_symmetry_never_builds_the_sets(make, oracle):
+    lazy = make()
+    found = detect_symmetry(lazy)
+    assert lazy.adjacency_builds == 0
+    expected = detect_symmetry(oracle())
+    assert found is not None and expected is not None
+    assert found.name == expected.name
+    assert found.generators == expected.generators

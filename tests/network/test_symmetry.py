@@ -232,3 +232,175 @@ class TestDetector:
         net = generators.cycle_graph(8)
         net.add_edge(0, 2)
         assert detect_symmetry(net) is None
+
+
+# ----------------------------------------------------------------------
+# parity of the array check and partition with the per-edge oracles
+# ----------------------------------------------------------------------
+def oracle_verify(net: Network, perm) -> None:
+    """The per-edge automorphism check the array check replaced: set
+    comparisons for the domain and image, then ``has_edge`` per edge."""
+    nodes = set(net.nodes())
+    dom = set(perm.keys())
+    if dom != nodes:
+        raise SymmetryError("generator domain is not V")
+    image = set(perm.values())
+    if image != nodes:
+        if len(image) < len(dom):
+            raise SymmetryError("generator is not injective")
+        raise SymmetryError("generator image is not V")
+    for u, v in net.edges():
+        if not net.has_edge(perm[u], perm[v]):
+            raise SymmetryError(f"generator maps edge ({u!r}, {v!r}) to non-edge")
+
+
+def oracle_orbits(net: Network, group: AutomorphismGroup):
+    """The union-find orbit partition the connected-components one
+    replaced: ``(reps, orbit_of, sizes)``."""
+    nodes = net.nodes()
+    parent = {v: v for v in nodes}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for g in group.generators:
+        for v in nodes:
+            w = g.get(v)
+            if w is None or w not in parent:
+                continue
+            rv, rw = find(v), find(w)
+            if rv != rw:
+                parent[rw] = rv
+    reps, index, orbit_of, counts = [], {}, {}, []
+    for v in nodes:
+        root = find(v)
+        if root not in index:
+            index[root] = len(reps)
+            reps.append(v)
+            counts.append(0)
+        orbit_of[v] = index[root]
+        counts[index[root]] += 1
+    return tuple(reps), orbit_of, tuple(counts)
+
+
+def category(check, net, perm):
+    """``None`` when ``check`` accepts, else the violation's category."""
+    try:
+        check(net, perm)
+    except SymmetryError as exc:
+        msg = str(exc)
+        for tag in ("domain", "not injective", "image is not V", "non-edge"):
+            if tag in msg:
+                return tag
+        raise AssertionError(f"uncategorized SymmetryError: {msg}")
+    return None
+
+
+@st.composite
+def relabelled(draw, pair):
+    """``pair`` as is, or relabelled onto string nodes in a shuffled
+    insertion order (a dict-form network whose labels are not rows)."""
+    net, group = pair
+    if not draw(st.booleans()):
+        return net, group
+    nodes = net.nodes()
+    order = draw(st.permutations(range(len(nodes))))
+    phi = {v: f"v{v}" for v in nodes}
+    out = Network(nodes=[phi[nodes[i]] for i in order],
+                  edges=[(phi[u], phi[v]) for u, v in net.edges()])
+    conj = AutomorphismGroup(
+        tuple({phi[v]: phi[g[v]] for v in nodes} for g in group.generators),
+        name=group.name,
+    )
+    return out, conj
+
+
+@st.composite
+def candidate_maps(draw):
+    """A network and a candidate map: a group word, a random permutation,
+    or a corrupted map (partial domain, extra key, key coerced by
+    ``np.fromiter`` such as ``1.5`` or ``'3'``, non-injective, image
+    outside V, wrong size)."""
+    net, group = draw(relabelled(draw(declared_network())))
+    nodes = net.nodes()
+    kind = draw(st.sampled_from([
+        "word", "permutation", "partial", "extra", "coerced",
+        "non-injective", "outside-image", "wrong-size",
+    ]))
+    word = draw(st.lists(st.integers(0, len(group.generators) - 1), max_size=4))
+    perm = compose_word(group, nodes, word)
+    if kind == "permutation":
+        perm = dict(zip(nodes, draw(st.permutations(nodes))))
+    elif kind == "partial":
+        for v in draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=3)):
+            perm.pop(v, None)
+    elif kind == "extra":
+        perm["not-a-node"] = nodes[0]
+    elif kind == "coerced":
+        v = draw(st.sampled_from(nodes))
+        if isinstance(v, int):
+            alias = draw(st.sampled_from([str(v), v + 0.5]))
+        else:
+            alias = v + "!"
+        perm[alias] = perm.pop(v)
+    elif kind == "non-injective":
+        perm = {v: draw(st.sampled_from(nodes)) for v in nodes}
+    elif kind == "outside-image":
+        perm[draw(st.sampled_from(nodes))] = ("outside",)
+    elif kind == "wrong-size":
+        perm.pop(draw(st.sampled_from(nodes)))
+        perm[("extra", 1)] = nodes[0]
+        perm[("extra", 2)] = nodes[1]
+    return net, perm
+
+
+class TestArrayCheckParity:
+    @settings(max_examples=150, deadline=None)
+    @given(case=candidate_maps())
+    def test_accepts_and_rejects_exactly_as_the_oracle(self, case):
+        net, perm = case
+        got = category(verify_automorphism, net, perm)  # CSR only, first
+        assert got == category(oracle_verify, net, perm)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=candidate_maps())
+    def test_lenient_partition_matches_union_find(self, case):
+        """Any map — valid or not — partitions V exactly as union-find
+        over its in-V pairs did (the lenient read of a stale group)."""
+        net, perm = case
+        group = AutomorphismGroup((perm,))
+        part = orbit_partition(net, group)
+        assert (part.reps, part.orbit_of, part.sizes) == oracle_orbits(net, group)
+        assert list(part.orbit_of) == net.nodes()
+
+
+class TestPartitionParity:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_partition_matches_union_find(self, data):
+        family = data.draw(st.sampled_from(["rotation", "grid", "torus"]))
+        if family == "rotation":
+            n = data.draw(st.integers(2, 40))
+            d = data.draw(st.integers(1, n))
+            net, group = generators.cycle_graph(max(n, 3)), cyclic_rotation(max(n, 3), d)
+        elif family == "grid":
+            r, c = data.draw(st.integers(1, 7)), data.draw(st.integers(2, 7))
+            net, group = generators.grid_graph(r, c), grid_reflections(r, c)
+        else:
+            r, c = data.draw(st.integers(3, 6)), data.draw(st.integers(3, 6))
+            net, group = generators.torus_graph(r, c), torus_translations(r, c)
+        net, group = data.draw(relabelled((net, group)))
+        oracle = oracle_orbits(net, group)
+        net.declare_symmetry(group)
+        for part in (net.orbit_partition(), orbit_partition(net, group)):
+            assert (part.reps, part.orbit_of, part.sizes) == oracle
+            assert [part.nodes[r] for r in part.rep_rows.tolist()] == list(part.reps)
+            assert part.orbit_of_row.tolist() == [oracle[1][v] for v in net.nodes()]
+
+    def test_cyclic_rotation_subgroups_have_gcd_orbits(self):
+        for n, d in ((12, 3), (12, 8), (30, 4), (7, 7)):
+            part = orbit_partition(generators.cycle_graph(n), cyclic_rotation(n, d))
+            assert part.num_orbits == np.gcd(n, d)
+            assert part.sizes == (n // np.gcd(n, d),) * int(np.gcd(n, d))

@@ -240,6 +240,82 @@ class TestNetworkReuseAcrossRuns:
         assert q1.final_state == v1.final_state == q2.final_state
 
 
+class TestVerificationCache:
+    """The declared group is verified once per topology version:
+    declaration, negotiation and the engine share one check, and any
+    mutation makes the next use re-verify (and report ``stale-group``)."""
+
+    def test_quotient_run_adds_no_verification(self):
+        net = _declared_cycle(16)
+        assert net.symmetry_verifications == 1  # the declaration itself
+        init = NetworkState.uniform(net, "blank")
+        for engine in ("quotient", "auto"):
+            assert run(_spread_programs(), net, init, until=3,
+                       engine=engine).engine == "quotient"
+        QuotientSynchronousEngine(net, _spread_programs(), init)
+        OrbitBroadcastRng(net, 0)
+        assert net.symmetry_verifications == 1
+        assert net.orbit_rebuilds == 1
+        assert net.adjacency_builds == 0
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda net: net.add_edge(0, 2),
+            lambda net: net.remove_node(3),
+            lambda net: net.remove_edge(4, 5),
+        ],
+        ids=["add_edge", "remove_node", "remove_edge"],
+    )
+    def test_mutation_after_declaration_is_stale(self, mutate):
+        net = _declared_cycle(12)
+        mutate(net)
+        init = NetworkState({v: "blank" for v in net})
+        with pytest.raises(QuotientLoweringError, match="stale") as exc:
+            run(_spread_programs(), net, init, until=2, engine="quotient")
+        assert exc.value.blocker == "stale-group"
+        with pytest.raises(QuotientLoweringError) as exc:
+            QuotientSynchronousEngine(net, _spread_programs(), init)
+        assert exc.value.blocker == "stale-group"
+        assert run(_spread_programs(), net, init, until=2).engine == "vectorized"
+        # a failed check is not cached: every attempt re-verifies
+        assert net.symmetry_verifications == 4
+
+    def test_copy_then_mutate_on_the_array_form(self):
+        """A copy shares the verified arrays until it mutates; the mutated
+        copy is stale while the original still runs without re-verifying
+        or building its sets."""
+        net = _declared_cycle(12)
+        clone = net.copy()
+        init = NetworkState.uniform(net, "blank")
+        assert run(_spread_programs(), clone, init, until=2,
+                   engine="quotient").engine == "quotient"
+        assert clone.symmetry_verifications == 0  # shared from the original
+        clone.remove_edge(0, 1)
+        with pytest.raises(QuotientLoweringError) as exc:
+            run(_spread_programs(), clone, init, until=2, engine="quotient")
+        assert exc.value.blocker == "stale-group"
+        assert run(_spread_programs(), net, init, until=2,
+                   engine="quotient").engine == "quotient"
+        assert net.symmetry_verifications == 1
+        assert net.adjacency_builds == 0
+
+    def test_faulted_run_after_cached_verification_is_caught(self):
+        """The verified check cached by an earlier quotient run does not
+        survive a faulted run that mutates the instance."""
+        net = _declared_cycle(10)
+        init = NetworkState.uniform(net, "blank")
+        run(_spread_programs(), net, init, until=2, engine="quotient")
+        run(_spread_programs(), net, init, until=3,
+            fault_plan=FaultPlan([FaultEvent(1, "node", 4)]))
+        assert 4 not in net
+        init2 = NetworkState({v: "blank" for v in net})
+        with pytest.raises(QuotientLoweringError) as exc:
+            run(_spread_programs(), net, init2, until=2, engine="quotient")
+        assert exc.value.blocker == "stale-group"
+        assert "domain" in str(exc.value)
+
+
 class TestKnownKernels:
     def test_probabilistic_election_shared_draws_on_complete_graph(self):
         """Explicit probabilistic quotient vs vectorized-with-adapter on
@@ -267,3 +343,37 @@ class TestKnownKernels:
             assert quo.state == vec.state, f"diverged at step {step}"
             # symmetric draws keep all nodes in lockstep forever
             assert len(set(quo.state.values())) == 1
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "make, group",
+    [
+        (lambda: generators.cycle_graph(2**16), lambda: cyclic_rotation(2**16)),
+        (lambda: generators.torus_graph(256, 256),
+         lambda: torus_translations(256, 256)),
+    ],
+    ids=["cycle-2^16", "torus-256x256"],
+)
+def test_quotient_matches_broadcast_vectorized_at_scale(make, group):
+    """At n = 2^16, the probabilistic quotient run and a vectorized run
+    consuming the same per-orbit draws (``OrbitBroadcastRng``) agree
+    bitwise, and the quotient side never builds the adjacency sets."""
+    from repro.algorithms import election
+
+    programs = election.coin_kernel_programs()
+    results = []
+    for engine in ("quotient", "vectorized"):
+        net = make()
+        net.declare_symmetry(group())
+        rng = np.random.default_rng(11)
+        if engine == "vectorized":
+            rng = OrbitBroadcastRng(net, rng)
+        results.append(run(programs, net, election.coin_kernel_init(net),
+                           engine=engine, until=24, randomness=2, rng=rng))
+        if engine == "quotient":
+            assert net.adjacency_builds == 0
+            assert net.symmetry_verifications == 1
+    quotient, full = results
+    assert list(quotient.final_state.items()) == list(full.final_state.items())
+    assert quotient.change_counts == full.change_counts

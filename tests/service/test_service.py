@@ -8,6 +8,8 @@ exercised at full speed; one opt-in slow test and the CI smoke script
 
 import asyncio
 import json
+import socket
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -16,6 +18,7 @@ from repro.campaigns.runner import execute_job_async, run_campaign
 from repro.campaigns.spec import CampaignSpec, JobSpec, canonical_json
 from repro.campaigns.store import ArtifactStore, deterministic_view
 from repro.runtime.telemetry import EventStream, JobEvent
+from repro.service import http as service_http
 from repro.service.http import serve
 from repro.service.jobs import JobManager, TokenBucket
 from repro.service.loadgen import http_request
@@ -534,6 +537,46 @@ class TestHTTP:
         )
         assert bad.startswith(f"HTTP/1.1 {status} ".encode())
         assert reason in json.loads(bad.split(b"\r\n\r\n", 1)[1])["error"]
+        assert good.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(good.split(b"\r\n\r\n", 1)[1])["ok"] is True
+
+    def test_malformed_heads_end_in_a_4xx_or_a_clean_close(
+        self, tmp_path, monkeypatch
+    ):
+        """Over a raw socket: a head with no terminating blank line is
+        closed within the head deadline, a 70 KiB header line and 200
+        header lines (repeating two names) get a 4xx (never a 500), and
+        the next connection is served normally."""
+        _thread_backed(monkeypatch)
+        monkeypatch.setattr(service_http, "HEAD_TIMEOUT", 0.5)
+
+        def exchange(port, head: bytes):
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                start = time.monotonic()
+                sock.sendall(head)
+                chunks = []
+                while chunk := sock.recv(65536):
+                    chunks.append(chunk)
+                return b"".join(chunks), time.monotonic() - start
+
+        async def scenario(port):
+            heads = [
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n",
+                b"GET /healthz HTTP/1.1\r\nX-Big: "
+                + b"a" * (70 * 1024) + b"\r\n\r\n",
+                b"GET /healthz HTTP/1.1\r\n"
+                + b"".join(b"X-H%d: v\r\n" % (i % 2) for i in range(200)) + b"\r\n",
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            ]
+            return [await asyncio.to_thread(exchange, port, h) for h in heads]
+
+        (unterminated, waited), (long_line, _), (many, _), (good, _) = asyncio.run(
+            _with_server(JobManager(tmp_path / "store"), scenario)
+        )
+        assert unterminated == b"" and waited < 5
+        for answer, reason in ((long_line, "too long"), (many, "headers")):
+            assert answer.startswith(b"HTTP/1.1 431 "), answer[:80]
+            assert reason in json.loads(answer.split(b"\r\n\r\n", 1)[1])["error"]
         assert good.startswith(b"HTTP/1.1 200 ")
         assert json.loads(good.split(b"\r\n\r\n", 1)[1])["ok"] is True
 
